@@ -10,7 +10,7 @@ Two claims, two grains:
   the floor is deliberately conservative (the measured ratio on a
   quiet machine is ~1.25x at K=8).
 * **End-to-end sweep** — the full Figure 10 sweep under the new
-  defaults (grid evaluator, topology-class structure sharing, dense
+  defaults (topology-class batching and structure sharing, dense
   structure verification, dirty-channel FIFO checking, persistent
   pool) must beat the same sweep with every one of those reverted to
   its per-cell predecessor.  Each leg runs in its own interpreter so
@@ -128,17 +128,24 @@ print("SECONDS", time.perf_counter() - t0)
 """
 
 #: Revert every batched-sweep mechanism to its per-cell predecessor:
-#: tiered (cell-at-a-time) evaluator, per-sweep worker pools, no
+#: cell-at-a-time evaluation (every task its own dispatch class, so
+#: each takes the scalar evaluator), a fresh worker pool per sweep, no
 #: structure store, cold prelude per call, Kahn re-run per graph, full
 #: op-tuple materialization before cost probing, and the per-edge
 #: Python channel walk.  This is the planner as it stood before the
 #: batched-sweep work, expressed as monkeypatches so both legs ship
 #: identical generation/simulation code.
 _PER_CELL_PRELUDE = """\
-import repro.planner.search as search_mod
-search_mod.DEFAULT_EVALUATOR = "tiered"
+import repro.planner.parallel as parallel_mod
+parallel_mod._dispatch_key = lambda index, task: index
 from repro.planner import pool
-pool.set_mode("per-sweep")
+_run_map = pool.run_map
+def _per_sweep_run_map(fn, items, jobs):
+    try:
+        return _run_map(fn, items, jobs)
+    finally:
+        pool.shutdown()
+pool.run_map = _per_sweep_run_map
 import repro.planner.evaluate as ev
 ev._prelude = ev._prelude.__wrapped__
 from repro.schedules import gencache

@@ -33,7 +33,8 @@ from repro.planner.evaluate import (
     config_bounds,
     evaluate_config,
 )
-from repro.planner.search import pareto_frontier, search_method
+from repro.planner.parallel import evaluate_tasks, merge_outcomes
+from repro.planner.search import candidate_tasks, pareto_frontier, search_method
 from repro.schedules.methods import build_problem, build_schedule
 from repro.schedules.verify import assert_clean
 from repro.sim.cost import ClusterCost
@@ -140,9 +141,7 @@ def test_bench_first_pass_prune_speedup(once):
     """
 
     def measure():
-        sweep = search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, 128, evaluator="tiered"
-        )
+        sweep = search_method("mepipe", LLAMA_13B, RTX4090_CLUSTER, 128)
         t0 = time.perf_counter()
         bounds = config_bounds(
             "mepipe", LLAMA_13B, RTX4090_CLUSTER, PRUNED, 128
@@ -182,20 +181,18 @@ def test_bench_sweep_tiered_vs_sim(once):
     """
 
     def sweeps():
-        tiered = search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, 128, evaluator="tiered"
-        )
-        sim = search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, 128, evaluator="sim"
-        )
+        tiered = search_method("mepipe", LLAMA_13B, RTX4090_CLUSTER, 128)
+        # The sim-only pipeline: every candidate at sim tier.
+        tasks, _ = candidate_tasks("mepipe", LLAMA_13B, RTX4090_CLUSTER, 128)
+        sim = merge_outcomes(evaluate_tasks(tasks))
         return tiered, sim
 
-    tiered, sim = once(sweeps)
-    assert tiered.best == sim.best
+    tiered, (sim_best, sim_evaluated) = once(sweeps)
+    assert tiered.best == sim_best
 
     def key(r):
         return (r.config, r.iteration_time_s, r.peak_memory_bytes)
 
     assert [key(r) for r in pareto_frontier(tiered.evaluated)] == [
-        key(r) for r in pareto_frontier(sim.evaluated)
+        key(r) for r in pareto_frontier(sim_evaluated)
     ]

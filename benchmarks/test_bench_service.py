@@ -123,13 +123,13 @@ def test_bench_service_pool_reuse_latency(once, tmp_path, monkeypatch):
     """Parallel plan requests on the persistent worker pool vs a fresh
     pool per sweep.
 
-    ``jobs=2`` routes each sweep through the planner process pool; in
-    ``"per-sweep"`` mode (the historical behavior) every request pays
-    pool spawn + teardown, while the default ``"persistent"`` mode pays
-    it once at warm-up and then reuses live, cache-warm workers.  Both
-    modes are timed min-of-reps on the same server, per-sweep first so
-    mode switching (which disposes the shared pool) never lands a cold
-    spawn inside the persistent measurement.
+    ``jobs=2`` routes each sweep through the planner process pool.  The
+    fresh-pool leg shuts the pool down before every request, so each
+    request pays pool spawn and cold worker caches (the planner once
+    did this for every sweep); the persistent leg pays it once at
+    warm-up and then reuses live, cache-warm workers.  Both legs are
+    timed min-of-reps on the same server, fresh first so its shutdowns
+    never land inside the persistent measurement.
     """
     from repro.planner import pool
 
@@ -147,28 +147,27 @@ def test_bench_service_pool_reuse_latency(once, tmp_path, monkeypatch):
             assert response.methods[0]["best"] is not None
             return perf_counter() - t0
 
-        def min_of(reps: int) -> float:
-            return min(timed_request() for _ in range(reps))
+        def fresh_pool_request() -> float:
+            pool.shutdown()
+            return timed_request()
 
-        # Up to three measurement attempts, re-warming each mode before
-        # its mins: the claim is the mode ratio, not machine quietness.
+        # Up to three measurement attempts, re-warming the pool before
+        # the persistent mins: the claim is the ratio, not machine
+        # quietness.
         for _ in range(3):
-            pool.set_mode("per-sweep")
-            per_sweep = min_of(5)
-            pool.set_mode("persistent")
+            fresh = min(fresh_pool_request() for _ in range(5))
             timed_request()  # warm-up: spawn the persistent pool
-            persistent = min_of(5)
-            if persistent < per_sweep:
+            persistent = min(timed_request() for _ in range(5))
+            if persistent < fresh:
                 break
 
         # Record the persistent path under the regression gate.
         once(timed_request)
-        assert persistent < per_sweep, (
+        assert persistent < fresh, (
             f"persistent pool {persistent * 1e3:.0f} ms per request is not "
-            f"below per-sweep pools {per_sweep * 1e3:.0f} ms"
+            f"below fresh pools {fresh * 1e3:.0f} ms"
         )
     finally:
-        pool.set_mode(None)
         server.shutdown()
 
 

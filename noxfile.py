@@ -6,13 +6,12 @@ Run `nox -s lint` / `nox -s tests`, or the same commands directly:
     ruff format --check src tests
     mypy src/repro/schedules src/repro/nn
     mypy --strict src/repro/analysis
-    mypy --strict src/repro/analysis/evaluate
+    mypy --strict src/repro/analysis/evaluate src/repro/planner/pool.py
     mypy --strict src/repro/analysis/capacity
     mypy --strict src/repro/obs
     mypy --strict src/repro/pipeline
     mypy --strict src/repro/api src/repro/service
     mypy --strict src/repro/schedules/greedy.py src/repro/schedules/gencache.py src/repro/schedules/graph.py
-    mypy --strict src/repro/analysis/evaluate/batch.py src/repro/planner/pool.py
     PYTHONPATH=src python -m pytest -x -q
     python -m repro check-model grid
 """
@@ -20,7 +19,7 @@ Run `nox -s lint` / `nox -s tests`, or the same commands directly:
 import nox
 
 nox.options.sessions = [
-    "lint", "analysis", "evaluate", "batch", "capacity", "generate", "obs",
+    "lint", "analysis", "evaluate", "capacity", "generate", "obs",
     "pipeline", "service", "tests",
 ]
 
@@ -58,40 +57,19 @@ def evaluate(session: nox.Session) -> None:
     The evaluator's claim is bit-for-bit agreement with the event
     simulator; the gate runs the engine golden tests (all three sim
     engines), the evaluator's exactness/bounds/tiering suite, and the
-    seeded EV-rule mutation tests.
+    seeded EV-rule mutation tests.  Strict typing covers the evaluator
+    (the batched evaluator included) and the planner worker pool.
     """
     session.install("-e", ".[test,lint]")
-    session.run("mypy", "--strict", "src/repro/analysis/evaluate")
+    session.run(
+        "mypy", "--strict", "src/repro/analysis/evaluate",
+        "src/repro/planner/pool.py",
+    )
     session.run(
         "python", "-m", "pytest", "-x", "-q",
         "tests/test_engine_golden.py",
         "tests/test_evaluate.py",
         "tests/test_evaluate_mutations.py",
-    )
-
-
-@nox.session
-def batch(session: nox.Session) -> None:
-    """The batched-sweep gate: strict typing plus its proof suite.
-
-    The batched analytic tier's claim is bit-for-bit agreement with the
-    scalar evaluator over every topology class (one stacked max-plus
-    pass per class); the gate runs the golden bit-identity grid, the
-    seeded cost-row/class-key mutation tests, and the persistent
-    worker-pool lifecycle suite, under strict typing for the batch
-    evaluator and the pool.
-    """
-    session.install("-e", ".[test,lint]")
-    session.run(
-        "mypy", "--strict",
-        "src/repro/analysis/evaluate/batch.py",
-        "src/repro/planner/pool.py",
-    )
-    session.run(
-        "python", "-m", "pytest", "-x", "-q",
-        "tests/test_evaluate_batch.py",
-        "tests/test_batch_mutations.py",
-        "tests/test_planner_pool.py",
     )
 
 

@@ -349,11 +349,6 @@ def _handle_plan(
     from repro.planner import SweepCache, search_method
     from repro.schedules import gencache
 
-    if request.evaluator not in ("sim", "tiered", "grid"):
-        raise RequestError(
-            f"unknown search evaluator {request.evaluator!r}",
-            code="unknown-evaluator",
-        )
     try:
         spec = get_model(request.model)
         cluster = get_cluster(request.cluster)
@@ -380,7 +375,6 @@ def _handle_plan(
                 jobs=request.jobs,
                 cache=cache,
                 sink=sink,
-                evaluator=request.evaluator,
             )
         except KeyError as exc:
             raise RequestError(
@@ -397,7 +391,6 @@ def _handle_plan(
                     {"config": s.config.describe(), "reason": s.reason}
                     for s in result.skipped
                 ],
-                "evaluator": result.evaluator,
             }
         )
     gen_after = gencache.snapshot()

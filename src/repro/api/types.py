@@ -245,9 +245,6 @@ class PlanRequest(Request):
     max_spp: int = 16
     max_vp: int = 2
     min_dp: int = 2
-    #: Evaluation pipeline: ``"grid"`` (batched topology classes),
-    #: ``"tiered"`` (cell-at-a-time), or ``"sim"``; results identical.
-    evaluator: str = "grid"
     #: Worker processes for the sweep; result-neutral (volatile).
     jobs: int = 1
     #: Reuse/persist the on-disk sweep cache; result-neutral (volatile).
@@ -355,7 +352,7 @@ class PlanResponse(Response):
     Each ``methods`` entry carries ``method``, ``best`` (the winning
     :class:`~repro.planner.evaluate.EvalResult` as a dict, or ``None``
     when every configuration OOMs), ``describe`` (its rendered one-line
-    summary), ``evaluated``/``skipped`` trails, and ``evaluator``.
+    summary), and the ``evaluated``/``skipped`` trails.
     """
 
     KIND: ClassVar[str] = "plan.result"

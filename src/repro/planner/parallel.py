@@ -5,11 +5,13 @@ Tables 5/8/9) evaluate hundreds of (method, parallel config) cells, and
 several experiments share cells — the Figure 8 GBS-128 column *is* the
 Figure 10 13B row.  This module makes those sweeps cheap twice over:
 
-* :func:`evaluate_tasks` fans :func:`~repro.planner.evaluate
-  .evaluate_config` calls out over a process pool.  Results are merged
-  back **by task index**, so the outcome list — and therefore the
-  selected optimum — is bit-identical for any worker count, including
-  the inline ``jobs=1`` path.
+* :func:`evaluate_tasks` groups cells by predicted topology class and
+  fans the classes out over the planner worker pool
+  (:mod:`repro.planner.pool`); each class is one
+  :func:`~repro.planner.evaluate.evaluate_config_batch` call.  Results
+  are merged back **by task index**, so the outcome list — and
+  therefore the selected optimum — is bit-identical for any worker
+  count, including the inline ``jobs=1`` path.
 * :class:`SweepCache` persists each evaluation outcome (including
   rejections) under ``artifacts/cache/``, keyed by a content
   fingerprint of everything that determines the result: the cache
@@ -32,6 +34,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from hashlib import sha256
 from pathlib import Path
+from typing import Hashable
 
 from repro.analysis.capacity.rules import CAPACITY_VERSION
 from repro.analysis.evaluate.rules import EVALUATOR_VERSION
@@ -42,12 +45,10 @@ from repro.parallel.strategies import ParallelConfig
 from repro.planner import pool
 from repro.planner.evaluate import (
     EvalResult,
-    evaluate_config,
     evaluate_config_batch,
     task_class_key,
 )
 from repro.schedules import gencache
-from repro.schedules.base import ScheduleError
 
 #: Bump when the evaluation semantics change so stale cache entries
 #: (computed under the old semantics) can never be replayed.
@@ -197,147 +198,6 @@ class SweepCache:
             tmp.unlink(missing_ok=True)
 
 
-def _run_task(
-    indexed: tuple[int, EvalTask],
-) -> tuple[int, EvalOutcome, float, int, int]:
-    """Worker body: evaluate one cell, mapping rejections to outcomes.
-
-    Module-level (picklable) and index-tagged so pool results can be
-    merged deterministically regardless of completion order.  The third
-    element is the evaluation's wall-clock duration, reported back so
-    the parent can emit per-config telemetry spans even for pool runs;
-    the last two are the generation-cache hit/miss deltas this
-    evaluation caused (pool workers hold their own gen cache, so the
-    parent folds these back into its counters).
-    """
-    index, task = indexed
-    start = time.perf_counter()
-    gen_h0, gen_m0 = gencache.snapshot()
-    try:
-        result = evaluate_config(
-            task.method,
-            task.spec,
-            task.cluster,
-            task.config,
-            task.global_batch_size,
-            tier=task.tier,
-            capacity_mode=task.capacity_mode,
-        )
-        outcome = EvalOutcome(result=result)
-    except (ScheduleError, ValueError) as exc:
-        first = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
-        outcome = EvalOutcome(error=first)
-    gen_h1, gen_m1 = gencache.snapshot()
-    seconds = time.perf_counter() - start
-    return index, outcome, seconds, gen_h1 - gen_h0, gen_m1 - gen_m0
-
-
-def evaluate_tasks(
-    tasks: list[EvalTask],
-    jobs: int = 1,
-    cache: SweepCache | None = None,
-    sink: EventSink = NULL_SINK,
-) -> list[EvalOutcome]:
-    """Evaluate every task; returns outcomes aligned with ``tasks``.
-
-    Cache hits are resolved up front; only misses are dispatched (to a
-    process pool when ``jobs > 1``, inline otherwise) and written back.
-    The returned list depends only on the task list — not on worker
-    count, scheduling, or cache state — which is what makes sweeps
-    reproducible across machines and ``--jobs`` settings.
-
-    With an enabled ``sink``, the sweep emits one ``cache hit`` instant
-    per replayed cell, one ``eval`` span per computed cell (worker
-    durations are measured in the worker; pool runs lay the spans out
-    at merge time), one ``gen cache hit`` instant per computed cell
-    whose schedule constructions were (at least partly) served from the
-    generation cache, and final ``cache_hits`` / ``evaluated`` /
-    ``errors`` / ``gen_cache_hits`` / ``gen_cache_misses`` counters.
-    Pool workers hold their own generation caches; their hit/miss
-    deltas are folded back into this process's counters
-    (:func:`repro.schedules.gencache.record_remote`).
-    """
-    observing = sink.enabled
-    t0 = time.perf_counter() if observing else 0.0
-    outcomes: list[EvalOutcome | None] = [None] * len(tasks)
-    pending: list[tuple[int, EvalTask]] = []
-    cache_hits = 0
-    for i, task in enumerate(tasks):
-        hit = cache.get(task) if cache is not None else None
-        if hit is not None:
-            outcomes[i] = hit
-            cache_hits += 1
-            if observing:
-                sink.instant(
-                    f"cache hit {task.method} {task.config.describe()}",
-                    ts=time.perf_counter() - t0,
-                    cat="cache",
-                    args={"method": task.method, "index": i},
-                )
-        else:
-            pending.append((i, task))
-
-    errors = 0
-    gen_hits = 0
-    gen_misses = 0
-    if pending:
-        pooled = jobs > 1
-        if pooled:
-            # The planner worker pool: persistent by default (warm
-            # caches across sweeps and service requests), per-sweep via
-            # REPRO_PLANNER_POOL=per-sweep.  Either way the merge below
-            # is by task index, so results are pool-independent.
-            computed = pool.run_map(_run_task, pending, jobs)
-        else:
-            computed = [_run_task(item) for item in pending]
-        tasks_by_index = dict(pending)
-        for i, outcome, seconds, gen_h, gen_m in computed:
-            outcomes[i] = outcome
-            if not outcome.ok:
-                errors += 1
-            gen_hits += gen_h
-            gen_misses += gen_m
-            if pooled and (gen_h or gen_m):
-                # Workers count in their own process-wide gen caches;
-                # fold their deltas into ours (the inline path already
-                # counted here).
-                gencache.record_remote(gen_h, gen_m)
-            if cache is not None:
-                cache.put(tasks[i], outcome)
-            if observing:
-                task = tasks_by_index[i]
-                now = time.perf_counter() - t0
-                sink.span(
-                    f"{task.method} {task.config.describe()}",
-                    ts=max(0.0, now - seconds),
-                    dur=seconds,
-                    cat="eval",
-                    args={
-                        "method": task.method,
-                        "index": i,
-                        "ok": outcome.ok,
-                        "error": outcome.error,
-                    },
-                )
-                if gen_h:
-                    sink.instant(
-                        f"gen cache hit {task.method} "
-                        f"{task.config.describe()}",
-                        ts=now,
-                        cat="cache",
-                        args={"method": task.method, "index": i,
-                              "hits": gen_h, "misses": gen_m},
-                    )
-    if observing:
-        end = time.perf_counter() - t0
-        sink.counter("cache_hits", float(cache_hits), ts=end)
-        sink.counter("evaluated", float(len(pending)), ts=end)
-        sink.counter("errors", float(errors), ts=end)
-        sink.counter("gen_cache_hits", float(gen_hits), ts=end)
-        sink.counter("gen_cache_misses", float(gen_misses), ts=end)
-    return [outcome for outcome in outcomes if outcome is not None]
-
-
 _grid_lock = threading.Lock()
 _grid_batch_size = 0
 _grid_class_hits = 0
@@ -381,12 +241,15 @@ def _run_class(
 ) -> tuple[
     list[tuple[int, EvalOutcome]], float, int, int, int, int, tuple[int, ...]
 ]:
-    """Worker body: evaluate one predicted topology class as a batch.
+    """Worker body: evaluate one predicted topology class.
 
-    Returns the index-tagged outcomes plus this call's wall time, the
-    generation-cache and structure-store hit/miss deltas (workers hold
-    their own caches; the parent folds the deltas back), and the sizes
-    of the classes that were actually batched.
+    Module-level (picklable) and index-tagged so pool results can be
+    merged deterministically regardless of completion order.  Returns
+    the outcomes plus this call's wall time (the parent lays out the
+    telemetry spans from it, even for pool runs), the generation-cache
+    and structure-store hit/miss deltas (pool workers hold their own
+    caches; the parent folds the deltas back), and the sizes of the
+    classes that were actually batched.
     """
     indices, tasks = group
     start = time.perf_counter()
@@ -415,35 +278,61 @@ def _run_class(
     )
 
 
-def evaluate_tasks_batched(
+def _dispatch_key(index: int, task: EvalTask) -> Hashable:
+    """Which tasks one worker call evaluates together.
+
+    Analytic tasks group by predicted topology class, so structurally
+    identical configurations share one stacked pass.  Every sim-tier
+    task is a class of its own: they gain nothing from grouping (the
+    sim tier always takes the scalar replay), and singleton classes let
+    ``jobs > 1`` spread a frontier confirmation across workers.
+    """
+    if task.tier == "analytic":
+        return task_class_key(task)
+    return ("task", index)
+
+
+def evaluate_tasks(
     tasks: list[EvalTask],
     jobs: int = 1,
     cache: SweepCache | None = None,
     sink: EventSink = NULL_SINK,
 ) -> list[EvalOutcome]:
-    """Like :func:`evaluate_tasks`, batching topology classes.
+    """Evaluate every task; returns outcomes aligned with ``tasks``.
 
-    Cache misses are grouped by their *predicted* topology class
-    (:func:`~repro.planner.evaluate.task_class_key`) so structurally
-    identical configurations reach the same worker and are evaluated by
-    one stacked pass of the batched analytic evaluator.  The grouping
-    is a pure dispatch optimization: the batched evaluator verifies
-    actual structural identity and is bit-identical per member, so the
-    returned outcomes equal :func:`evaluate_tasks`'s for any grouping,
-    worker count, or pool mode.
+    Cache hits are resolved up front; only misses are dispatched (to
+    the planner worker pool when ``jobs > 1``, inline otherwise) and
+    written back.  Misses are grouped by their *predicted* topology
+    class (:func:`~repro.planner.evaluate.task_class_key`) so
+    structurally identical configurations reach the same worker and are
+    evaluated by one stacked pass of the batched analytic evaluator.
+    The grouping is a pure dispatch optimization: the batched evaluator
+    verifies actual structural identity and is bit-identical per member
+    to :func:`~repro.planner.evaluate.evaluate_config`, so the returned
+    list depends only on the task list — not on grouping, worker count,
+    scheduling, or cache state — which is what makes sweeps
+    reproducible across machines and ``--jobs`` settings.
 
-    Emits (with an enabled sink) the ``evaluate_tasks`` counters plus
-    ``batch_size`` (configs through stacked passes),
+    With an enabled ``sink``, the sweep emits one ``cache hit`` instant
+    per replayed cell, one ``eval`` span per computed cell (worker
+    durations are measured in the worker; the members of one class
+    share its interval), one ``gen cache hit`` instant per computed
+    class whose schedule constructions were (at least partly) served
+    from the generation cache, and final ``cache_hits`` / ``evaluated``
+    / ``errors`` / ``gen_cache_hits`` / ``gen_cache_misses`` /
+    ``batch_size`` (configs through stacked passes) /
     ``topology_class_hits`` (structure reuse within batches and via the
-    structure store), and ``worker_reuse`` (tasks served by an
-    already-warm persistent pool); the same numbers accumulate in
-    :func:`grid_stats` / :func:`repro.planner.pool.stats` for
-    ``/v1/healthz``.
+    structure store) / ``worker_reuse`` (tasks served by an
+    already-warm pool) counters.  The grid and pool numbers also
+    accumulate in :func:`grid_stats` / :func:`repro.planner.pool.stats`
+    for ``/v1/healthz``; pool workers' cache deltas are folded back
+    into this process's counters
+    (:func:`repro.schedules.gencache.record_remote`).
     """
     observing = sink.enabled
     t0 = time.perf_counter() if observing else 0.0
     outcomes: list[EvalOutcome | None] = [None] * len(tasks)
-    pending: list[tuple[int, EvalTask]] = []
+    grouped: dict[Hashable, list[tuple[int, EvalTask]]] = {}
     cache_hits = 0
     for i, task in enumerate(tasks):
         hit = cache.get(task) if cache is not None else None
@@ -458,63 +347,74 @@ def evaluate_tasks_batched(
                     args={"method": task.method, "index": i},
                 )
         else:
-            pending.append((i, task))
+            grouped.setdefault(_dispatch_key(i, task), []).append((i, task))
+    groups = [
+        (tuple(i for i, _ in members), tuple(t for _, t in members))
+        for members in grouped.values()
+    ]
 
+    evaluated = sum(len(indices) for indices, _ in groups)
     errors = 0
     gen_hits = 0
     gen_misses = 0
     batch_size = 0
     class_hits = 0
     reuse_before = pool.stats()["worker_reuse"]
-    if pending:
-        grouped: dict[object, list[tuple[int, EvalTask]]] = {}
-        for i, task in pending:
-            grouped.setdefault(task_class_key(task), []).append((i, task))
-        groups = [
-            (tuple(i for i, _ in members), tuple(t for _, t in members))
-            for members in grouped.values()
-        ]
-        pooled = jobs > 1
-        if pooled:
-            computed = pool.run_map(_run_class, groups, jobs)
-        else:
-            computed = [_run_class(group) for group in groups]
-        for group, record in zip(groups, computed):
-            members, seconds, gen_h, gen_m, st_h, st_m, sizes = record
-            if pooled and (gen_h or gen_m):
-                gencache.record_remote(gen_h, gen_m)
-            if pooled and (st_h or st_m):
-                gencache.record_remote_structure(st_h, st_m)
-            gen_hits += gen_h
-            gen_misses += gen_m
-            batch_size += sum(sizes)
-            class_hits += st_h + sum(size - 1 for size in sizes)
-            for i, outcome in members:
-                outcomes[i] = outcome
-                if not outcome.ok:
-                    errors += 1
-                if cache is not None:
-                    cache.put(tasks[i], outcome)
+    pooled = jobs > 1
+    if pooled:
+        computed = pool.run_map(_run_class, groups, jobs)
+    else:
+        computed = [_run_class(group) for group in groups]
+    for (_, group_tasks), record in zip(groups, computed):
+        members, seconds, gen_h, gen_m, st_h, st_m, sizes = record
+        if pooled and (gen_h or gen_m):
+            # Workers count in their own process-wide caches; fold
+            # their deltas into ours (the inline path already counted
+            # here).
+            gencache.record_remote(gen_h, gen_m)
+        if pooled and (st_h or st_m):
+            gencache.record_remote_structure(st_h, st_m)
+        gen_hits += gen_h
+        gen_misses += gen_m
+        batch_size += sum(sizes)
+        class_hits += st_h + sum(size - 1 for size in sizes)
+        now = time.perf_counter() - t0 if observing else 0.0
+        for (i, outcome), task in zip(members, group_tasks):
+            outcomes[i] = outcome
+            if not outcome.ok:
+                errors += 1
+            if cache is not None:
+                cache.put(task, outcome)
             if observing:
-                now = time.perf_counter() - t0
-                first = group[1][0]
                 sink.span(
-                    f"class {first.method} x{len(group[0])}",
+                    f"{task.method} {task.config.describe()}",
                     ts=max(0.0, now - seconds),
                     dur=seconds,
                     cat="eval",
                     args={
-                        "method": first.method,
-                        "members": len(group[0]),
-                        "batched": list(sizes),
+                        "method": task.method,
+                        "index": i,
+                        "ok": outcome.ok,
+                        "error": outcome.error,
+                        "class_size": len(members),
                     },
                 )
+        if observing and gen_h:
+            first = group_tasks[0]
+            sink.instant(
+                f"gen cache hit {first.method} {first.config.describe()}",
+                ts=now,
+                cat="cache",
+                args={"method": first.method, "index": members[0][0],
+                      "members": len(members),
+                      "hits": gen_h, "misses": gen_m},
+            )
     reuse_delta = pool.stats()["worker_reuse"] - reuse_before
     _record_grid(batch_size, class_hits)
     if observing:
         end = time.perf_counter() - t0
         sink.counter("cache_hits", float(cache_hits), ts=end)
-        sink.counter("evaluated", float(len(pending)), ts=end)
+        sink.counter("evaluated", float(evaluated), ts=end)
         sink.counter("errors", float(errors), ts=end)
         sink.counter("gen_cache_hits", float(gen_hits), ts=end)
         sink.counter("gen_cache_misses", float(gen_misses), ts=end)

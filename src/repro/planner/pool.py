@@ -15,13 +15,6 @@ request.  Workers therefore accumulate warm caches across dispatches —
 the second sweep that touches a problem a worker has seen gets its
 schedules, topological plans, and batch tables from memory.
 
-Modes (env knob ``REPRO_PLANNER_POOL``, or :func:`set_mode` /
-``--pool``):
-
-* ``"persistent"`` (default) — the long-lived pool described above;
-* ``"per-sweep"`` — the historical behavior: a fresh pool per call,
-  torn down when the call returns.
-
 Fault handling: a broken pool (a worker killed under us) is disposed
 and the affected call falls back to deterministic inline execution, so
 a crashed worker degrades throughput, never results.  ``shutdown()``
@@ -33,7 +26,6 @@ worker processes.
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -42,10 +34,7 @@ from typing import Callable, Sequence, TypeVar
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_MODES = ("persistent", "per-sweep")
-
 _lock = threading.Lock()
-_mode: str | None = None  # None -> consult the env on first use
 _executor: ProcessPoolExecutor | None = None
 _executor_workers = 0
 #: Tasks served by a pool that already existed when the call arrived
@@ -57,38 +46,11 @@ _cold_tasks = 0
 _faults = 0
 
 
-def pool_mode() -> str:
-    """The active pool mode (env knob ``REPRO_PLANNER_POOL``)."""
-    global _mode
-    with _lock:
-        if _mode is None:
-            raw = os.environ.get("REPRO_PLANNER_POOL", "persistent").lower()
-            _mode = raw if raw in _MODES else "persistent"
-        return _mode
-
-
-def set_mode(value: str | None) -> None:
-    """Force a pool mode; ``None`` re-reads the environment.
-
-    Switching away from ``"persistent"`` disposes any live pool so the
-    knob is also a kill switch.
-    """
-    global _mode
-    if value is not None and value not in _MODES:
-        raise ValueError(
-            f"unknown pool mode {value!r}; expected one of {_MODES}"
-        )
-    with _lock:
-        _mode = value
-    if value == "per-sweep":
-        shutdown()
-
-
 def _ensure_executor(jobs: int) -> tuple[ProcessPoolExecutor, bool]:
     """The shared executor, created or grown to ``jobs`` workers.
 
     Returns ``(executor, warm)`` where ``warm`` says the pool already
-    existed with enough workers — the reuse the persistent mode is for.
+    existed with enough workers — the reuse the pool is kept for.
     A pool that is too small is replaced (executors cannot grow), which
     counts as cold.
     """
@@ -122,8 +84,8 @@ def run_map(
 ) -> list[_R]:
     """``[fn(item) for item in items]`` on the planner worker pool.
 
-    Order-preserving and result-deterministic in every mode: the pool
-    only changes *where* each item runs.  A broken pool (worker killed
+    Order-preserving and result-deterministic: the pool only changes
+    *where* each item runs.  A broken pool (worker killed
     mid-call) falls back to inline execution of the whole call — the
     items are pure functions, so re-running them is safe.
     """
@@ -132,9 +94,6 @@ def run_map(
         return []
     if jobs <= 1:
         return [fn(item) for item in items]
-    if pool_mode() == "per-sweep":
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
     executor, warm = _ensure_executor(jobs)
     try:
         results = list(executor.map(fn, items))

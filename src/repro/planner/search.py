@@ -13,21 +13,19 @@ Every candidate the search does *not* evaluate is recorded in the
 result's ``skipped`` trail with the reason, so a sweep is auditable:
 ``evaluated + skipped`` covers the whole enumerated space.
 
-The default ``evaluator="grid"`` routes the sweep through the analytic
-first pass (see ``docs/evaluation.md``): certified build-free bounds
-prune candidates that are provably dominated by an already evaluated
-configuration, the survivors are evaluated with the closed-form
-evaluator (bit-identical numbers, no event replay), and only the
-resulting Pareto frontier is re-evaluated at full ``"sim"``
-provenance.  ``"grid"`` additionally evaluates the survivors
-*grid-wise*: structurally identical candidates (topology classes)
-share one compiled graph, one topological plan, and one stacked
-multi-config evaluation (:mod:`repro.analysis.evaluate.batch`), and
-shared preludes/bounds are computed once per cell for the whole sweep.
-``"tiered"`` is the same pipeline cell-at-a-time.  Because the
-analytic tier is exact in both shapes, the returned best, trail
-values, and frontier are identical across ``"sim"``, ``"tiered"``,
-and ``"grid"`` — only the provenance tags and the work done differ.
+The sweep runs one pipeline (see ``docs/evaluation.md``): certified
+build-free bounds prune candidates that are provably dominated by an
+already evaluated configuration, the survivors are evaluated with the
+closed-form evaluator (bit-identical numbers, no event replay), and
+only the resulting Pareto frontier is re-evaluated at full ``"sim"``
+provenance.  Survivors are evaluated *grid-wise*: structurally
+identical candidates (topology classes) share one compiled graph, one
+topological plan, and one stacked multi-config evaluation
+(:mod:`repro.analysis.evaluate.batch`), and shared preludes/bounds are
+computed once per cell for the whole sweep.  Because the analytic tier
+is exact, the returned best, trail values, and frontier are identical
+to a sweep that evaluates every candidate at ``"sim"`` tier — only the
+provenance tags and the work done differ.
 """
 
 from __future__ import annotations
@@ -40,27 +38,15 @@ from repro.model.spec import ModelSpec
 from repro.obs.events import NULL_SINK, EventSink
 from repro.parallel.grid import enumerate_configs
 from repro.parallel.strategies import ParallelConfig
-from repro.planner.evaluate import (
-    ConfigBounds,
-    EvalResult,
-    config_bounds,
-    config_bounds_batch,
-)
+from repro.planner.evaluate import EvalResult, config_bounds_batch
 from repro.planner.parallel import (
     EvalOutcome,
     EvalTask,
     SweepCache,
     evaluate_tasks,
-    evaluate_tasks_batched,
     merge_outcomes,
 )
 from repro.schedules.methods import method_traits
-
-#: The evaluation pipeline ``search_method`` uses when none is named.
-#: ``"grid"`` since the batched planner landed; the historical
-#: ``"tiered"`` (cell-at-a-time) and ``"sim"`` pipelines remain
-#: selectable and return identical results.
-DEFAULT_EVALUATOR = "grid"
 
 
 @dataclass(frozen=True)
@@ -82,16 +68,13 @@ class SearchResult:
     #: (static pruning, fixed-VP methods, analytic domination,
     #: scheduler rejections).
     skipped: list[SkippedConfig] = field(default_factory=list)
-    #: Which evaluation pipeline produced this result ("sim", "tiered",
-    #: or "grid"); the numbers are identical in every case.
-    evaluator: str = "sim"
 
     @property
     def all_oom(self) -> bool:
         return self.best is None and bool(self.evaluated)
 
 
-def search_method(
+def candidate_tasks(
     method: str,
     spec: ModelSpec,
     cluster: ClusterSpec,
@@ -99,43 +82,17 @@ def search_method(
     max_spp: int = 16,
     max_vp: int = 2,
     min_dp: int = 2,
-    jobs: int = 1,
-    cache: SweepCache | None = None,
-    sink: EventSink = NULL_SINK,
-    evaluator: str | None = None,
-) -> SearchResult:
-    """Find the fastest non-OOM configuration of ``method``.
+) -> tuple[list[EvalTask], list[SkippedConfig]]:
+    """The candidates ``search_method`` evaluates, and the static skips.
 
     The candidate space follows the paper's per-method search spaces
     (Section 7.1 "Baseline"): DAPPLE searches DP/PP/CP/recompute, VPP
     additionally VP, ZB/ZBV search PP/CP only (no recomputation), and
     SVPP/MEPipe search PP/SPP/VP with no CP and no recomputation.
-
-    ``jobs`` fans the evaluations out over a process pool; ``cache``
-    replays previously computed cells from disk.  Neither affects the
-    returned result — best, trail, and skip reasons are identical for
-    every ``jobs`` value and cache state.
-
-    ``evaluator`` selects the pipeline (``None`` means
-    :data:`DEFAULT_EVALUATOR`): ``"grid"`` (the default) prunes
-    provably dominated candidates with certified build-free bounds,
-    evaluates survivors analytically — batching topology classes
-    through the stacked multi-config evaluator — and re-evaluates the
-    Pareto frontier at ``"sim"`` provenance; ``"tiered"`` is the same
-    pipeline evaluating one cell at a time; ``"sim"`` evaluates every
-    candidate with the full verification + event replay.  The analytic
-    tier is bit-exact in both shapes, so all settings return the same
-    best and the same numbers (the ``tier`` tags on the trail differ).
-
-    An enabled ``sink`` observes the sweep: per-config ``eval`` spans
-    and cache-hit instants from :func:`~repro.planner.parallel
-    .evaluate_tasks`, plus one ``skip`` instant per statically or
-    analytically pruned candidate and a final ``skipped`` counter.
+    Candidates outside a fixed-VP method's VP, or rejected by
+    :func:`prune_reason`, come back as skips instead of tasks; the
+    tasks are at ``"sim"`` tier.
     """
-    if evaluator is None:
-        evaluator = DEFAULT_EVALUATOR
-    if evaluator not in ("sim", "tiered", "grid"):
-        raise ValueError(f"unknown search evaluator {evaluator!r}")
     traits = method_traits(method)
     candidates = enumerate_configs(
         spec,
@@ -167,6 +124,51 @@ def search_method(
         tasks.append(
             EvalTask(method, spec, cluster, config, global_batch_size)
         )
+    return tasks, skipped
+
+
+def search_method(
+    method: str,
+    spec: ModelSpec,
+    cluster: ClusterSpec,
+    global_batch_size: int,
+    max_spp: int = 16,
+    max_vp: int = 2,
+    min_dp: int = 2,
+    jobs: int = 1,
+    cache: SweepCache | None = None,
+    sink: EventSink = NULL_SINK,
+) -> SearchResult:
+    """Find the fastest non-OOM configuration of ``method``.
+
+    The candidates are :func:`candidate_tasks`'s.  The sweep prunes
+    provably dominated candidates with certified build-free bounds,
+    evaluates the survivors analytically — batching topology classes
+    through the stacked multi-config evaluator — and re-evaluates the
+    Pareto frontier at ``"sim"`` provenance.  The analytic tier is
+    bit-exact, so the best and the numbers equal those of a sweep that
+    evaluates every candidate at ``"sim"`` tier (the ``tier`` tags on
+    the trail differ).
+
+    ``jobs`` fans the evaluations out over a process pool; ``cache``
+    replays previously computed cells from disk.  Neither affects the
+    returned result — best, trail, and skip reasons are identical for
+    every ``jobs`` value and cache state.
+
+    An enabled ``sink`` observes the sweep: per-config ``eval`` spans
+    and cache-hit instants from :func:`~repro.planner.parallel
+    .evaluate_tasks`, plus one ``skip`` instant per statically or
+    analytically pruned candidate and a final ``skipped`` counter.
+    """
+    tasks, skipped = candidate_tasks(
+        method,
+        spec,
+        cluster,
+        global_batch_size,
+        max_spp=max_spp,
+        max_vp=max_vp,
+        min_dp=min_dp,
+    )
     if sink.enabled:
         for skip in skipped:
             sink.instant(
@@ -175,49 +177,30 @@ def search_method(
                 cat="skip",
                 args={"method": method, "reason": skip.reason},
             )
-
-    if evaluator == "sim":
-        outcomes = evaluate_tasks(tasks, jobs=jobs, cache=cache, sink=sink)
-        for task, outcome in zip(tasks, outcomes):
-            if not outcome.ok:
-                skipped.append(
-                    SkippedConfig(task.config, f"rejected: {outcome.error}")
-                )
-        best, evaluated = merge_outcomes(outcomes)
-    else:
-        best, evaluated, tier_skips = _tiered_sweep(
-            tasks,
-            jobs=jobs,
-            cache=cache,
-            sink=sink,
-            batched=(evaluator == "grid"),
-        )
-        skipped.extend(tier_skips)
+    best, evaluated, tier_skips = _sweep(
+        tasks, jobs=jobs, cache=cache, sink=sink
+    )
+    skipped.extend(tier_skips)
     if sink.enabled:
         sink.counter("skipped", float(len(skipped)), ts=0.0)
     return SearchResult(
-        method=method,
-        best=best,
-        evaluated=evaluated,
-        skipped=skipped,
-        evaluator=evaluator,
+        method=method, best=best, evaluated=evaluated, skipped=skipped
     )
 
 
-def _tiered_sweep(
+def _sweep(
     tasks: list[EvalTask],
     jobs: int,
     cache: SweepCache | None,
     sink: EventSink,
-    batched: bool = False,
 ) -> tuple[EvalResult | None, list[EvalResult], list[SkippedConfig]]:
-    """The analytic first pass (see module docstring and docs/evaluation.md).
+    """The sweep pipeline (see module docstring and docs/evaluation.md).
 
     1. Derive certified build-free bounds for every candidate (no
        schedule generation; candidates the bound theory cannot cover
-       simply carry no bounds and are always evaluated in full).  With
-       ``batched`` the bounds pass shares one cached prelude per cell
-       with the evaluation passes below.
+       simply carry no bounds and are always evaluated in full).  The
+       bounds pass shares one cached prelude per cell with the
+       evaluation passes below.
     2. Probe candidates sequentially in ascending time-lower-bound
        order until the first non-OOM analytic result — the incumbent.
        Sequential regardless of ``jobs`` so the incumbent (and thus the
@@ -228,24 +211,13 @@ def _tiered_sweep(
        would have dominated is dominated by the incumbent too — so the
        Pareto frontier is unchanged (the frontier-soundness argument in
        docs/evaluation.md).
-    4. Evaluate the survivors analytically (parallel, cached; with
-       ``batched``, topology classes among them share one stacked
-       evaluation — bit-identical outcomes, so the sweep's results do
-       not depend on ``batched``), then re-evaluate the resulting
-       Pareto frontier at ``"sim"`` provenance — full static
-       verification plus event replay — and splice those results into
-       the trail.
+    4. Evaluate the survivors analytically (parallel, cached; topology
+       classes among them share one stacked evaluation with
+       bit-identical outcomes), then re-evaluate the resulting Pareto
+       frontier at ``"sim"`` provenance — full static verification
+       plus event replay — and splice those results into the trail.
     """
-    bounds: list[ConfigBounds | None]
-    if batched:
-        bounds = config_bounds_batch(tasks)
-    else:
-        bounds = [
-            config_bounds(
-                t.method, t.spec, t.cluster, t.config, t.global_batch_size
-            )
-            for t in tasks
-        ]
+    bounds = config_bounds_batch(tasks)
     analytic = [replace(t, tier="analytic") for t in tasks]
 
     def lower(i: int) -> float:
@@ -281,8 +253,7 @@ def _tiered_sweep(
                     f"{incumbent.peak_memory_bytes / GiB:.2f} GiB)"
                 )
     rest = [i for i in range(len(tasks)) if i not in outcomes and i not in pruned]
-    sweep = evaluate_tasks_batched if batched else evaluate_tasks
-    rest_outcomes = sweep(
+    rest_outcomes = evaluate_tasks(
         [analytic[i] for i in rest], jobs=jobs, cache=cache, sink=sink
     )
     for i, outcome in zip(rest, rest_outcomes):

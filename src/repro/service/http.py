@@ -203,7 +203,11 @@ class PlannerService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # HTTP allows digits only: no sign, no other numeral characters.
+        if not raw_length.isdecimal():
+            raise RequestError(f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
             raise RequestError(f"body too large ({length} bytes)")
         body = await reader.readexactly(length) if length else b""

@@ -1,7 +1,9 @@
 """Cross-validation of the analytic evaluator against the event sim.
 
 The evaluator's certificates are *machine-checkable*: this harness
-replays the same schedule through the discrete-event simulator and
+replays the same schedule through the discrete-event simulator (by
+default the scalar heap engine, which shares no code with the dense
+wavefront the evaluator runs on) and
 verifies every obligation, filing ``EV001``–``EV004`` findings into the
 shared diagnostics catalogue when one breaks.
 
@@ -105,12 +107,16 @@ def cross_validate(
     cost: CostModel,
     overhead_time: float = 0.0,
     actgrad_factor: float = 1.0,
-    engine: str = "event",
+    engine: str = "heap",
     evaluation: AnalyticEvaluation | None = None,
     bounds: TimeBounds | None = None,
 ) -> Report:
     """Check the evaluator's certificates against the event simulator.
 
+    ``engine`` names the simulator engine to replay on.  The default,
+    the scalar ``"heap"`` engine, is independent of the dense wavefront
+    the analytic evaluator runs on; ``"event"`` is that wavefront
+    itself, so checking against it cannot catch a wavefront defect.
     ``evaluation`` defaults to a fresh :func:`evaluate_schedule` run;
     pass ``bounds`` to additionally check a build-free certificate
     against the same replay.  Returns a diagnostics

@@ -7,19 +7,23 @@ quantities the paper's analysis and evaluation revolve around.
 
 Three engines produce identical results:
 
-* ``"event"`` (default) — the ready-queue recurrence evaluated as NumPy
+* ``"event"`` (default, :func:`_simulate_dense`) — despite its name,
+  not an event loop: the ready-queue recurrence evaluated as NumPy
   wavefronts over the compiled
   :class:`~repro.schedules.graph.ScheduleGraph`'s dense CSR arrays
   (:mod:`repro.analysis.evaluate.dense`): each Kahn level's starts are
   one gather + segmented-``maximum`` instead of a per-op Python loop.
-  O(V + E) array work across ~dependency-height levels.
-* ``"heap"`` — the event-driven scalar replay this vectorization grew
-  out of: per-op durations and comm times in flat arrays, indegree
-  counting makes each op ready exactly once, and a heap keyed on ready
-  time drains the queue chronologically.  O((V + E) log V), no
-  ``OpId`` hashing in the replay loop.
-* ``"fixed-point"`` — the original round-robin blocked-head scan, kept
-  as the golden reference.
+  O(V + E) array work across ~dependency-height levels.  The analytic
+  evaluator runs on the same wavefront.
+* ``"heap"`` (:func:`_simulate_heap`) — the event-driven scalar replay
+  this vectorization grew out of: per-op durations and comm times in
+  flat arrays, indegree counting makes each op ready exactly once, and
+  a heap keyed on ready time drains the queue chronologically.
+  O((V + E) log V), no ``OpId`` hashing in the replay loop.  It shares
+  no code with the wavefront, so the planner's sim tier and
+  :func:`repro.sim.crossval.cross_validate` replay on it.
+* ``"fixed-point"`` (:func:`_simulate_fixed_point`) — the original
+  round-robin blocked-head scan, kept as the golden reference.
 
 An op's start time is a pure function of its dependencies' end times
 (IEEE ``max`` is exact and order-independent, and every add uses
@@ -84,7 +88,7 @@ class SimResult:
     makespan: float
     overhead_time: float = 0.0
     #: Per-stage records in start-time order, filled during replay by
-    #: the event engine (or lazily on first ``stage_records`` call) so
+    #: every engine (or lazily on first ``stage_records`` call) so
     #: repeated queries never rescan/re-sort the records dict.
     stage_record_lists: list[list[OpRecord]] | None = field(
         default=None, repr=False
@@ -227,7 +231,7 @@ def simulate(
     the replay.
 
     ``engine`` selects the replay implementation (see module
-    docstring); both produce identical results.
+    docstring); all three produce identical results.
 
     ``sink`` receives the iteration's telemetry — per-op spans (one
     track per stage), channel send/recv instants, and bubble/overlap/
@@ -254,7 +258,7 @@ def simulate(
     elif engine == "event":
         result = _simulate_dense(schedule, cost, overhead_time, actgrad_factor)
     elif engine == "heap":
-        result = _simulate_event(schedule, cost, overhead_time, actgrad_factor)
+        result = _simulate_heap(schedule, cost, overhead_time, actgrad_factor)
     elif engine == "fixed-point":
         result = _simulate_fixed_point(
             schedule, cost, overhead_time, actgrad_factor
@@ -338,7 +342,7 @@ def _simulate_dense(
     )
 
 
-def _simulate_event(
+def _simulate_heap(
     schedule: Schedule,
     cost: CostModel,
     overhead_time: float,
@@ -478,7 +482,7 @@ def _simulate_bounded(
 ) -> SimResult:
     """Event-driven heap replay with finite channel capacities.
 
-    Mirrors :func:`_simulate_event` with one extra constraint family:
+    Mirrors :func:`_simulate_heap` with one extra constraint family:
     under capacity K on channel ``(src, dst, kind)``, the producer of
     message #i also waits for the consumer of message #(i-K) to finish
     (slot reuse; no transfer time is charged for reclaiming a slot).

@@ -145,6 +145,14 @@ def test_from_dict_rejects_unknown_fields():
         )
 
 
+def test_plan_request_rejects_the_removed_evaluator_field():
+    with pytest.raises(api.RequestError) as excinfo:
+        api.request_from_dict({"kind": "plan", "evaluator": "grid"})
+    assert excinfo.value.code == "bad-request"
+    assert excinfo.value.http_status == 400
+    assert "evaluator" in excinfo.value.message
+
+
 def test_from_dict_rejects_wrong_kind_and_schema():
     with pytest.raises(api.RequestError):
         api.EvaluateRequest.from_dict({"kind": "plan"})

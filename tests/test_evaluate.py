@@ -8,10 +8,11 @@ models.  The cross-validation harness (:mod:`repro.sim.crossval`) does
 the bit-level comparison against the *scalar* engines (heap and
 fixed-point), so these tests never compare the wavefront with itself.
 
-Also covered: the planner's tiered first pass returning exactly the
-sim-only sweep's optimum and Pareto frontier, and the sweep cache never
-aliasing analytic and sim entries (tier + evaluator version are part of
-the fingerprint).
+Also covered: the planner's tiered sweep (analytic first pass, sim
+frontier) returning exactly the optimum, trail values, Pareto frontier
+and skip reasons of a sim-tier sweep over the same candidates, and the
+sweep cache never aliasing analytic and sim entries (tier + evaluator
+version are part of the fingerprint).
 """
 
 import dataclasses
@@ -35,8 +36,15 @@ from repro.planner.parallel import (
     SweepCache,
     eval_fingerprint,
     evaluate_tasks,
+    merge_outcomes,
 )
-from repro.planner.search import pareto_frontier, search_method
+from repro.planner.search import (
+    SearchResult,
+    SkippedConfig,
+    candidate_tasks,
+    pareto_frontier,
+    search_method,
+)
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import ClusterCost, UniformCost
 from repro.sim.crossval import cross_validate
@@ -188,57 +196,76 @@ def row_key(r):
     return (r.config, r.iteration_time_s, r.peak_memory_bytes, r.oom)
 
 
-def test_tiered_search_matches_sim_search():
-    tiered = search_method(
-        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator="tiered"
-    )
-    sim = search_method(
-        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator="sim"
-    )
-    # The optimum is identical including provenance: the tiered sweep
+def sim_reference(method, spec, cluster, gbs, **space):
+    """Every candidate of ``search_method``'s space evaluated at sim
+    tier: the full verification + event replay, no pruning."""
+    tasks, skipped = candidate_tasks(method, spec, cluster, gbs, **space)
+    outcomes = evaluate_tasks(tasks)
+    for task, outcome in zip(tasks, outcomes):
+        if not outcome.ok:
+            skipped.append(
+                SkippedConfig(task.config, f"rejected: {outcome.error}")
+            )
+    best, evaluated = merge_outcomes(outcomes)
+    return SearchResult(method, best, evaluated, skipped)
+
+
+def assert_matches_reference(result, reference):
+    """``result`` (a pruned, tiered sweep) agrees with ``reference``
+    (the sim-tier sweep over the same candidates) on the best, every
+    trail value, the frontier, and every skip reason."""
+    # The optimum is identical including provenance: the sweep
     # re-evaluates its frontier at "sim" tier.
-    assert tiered.best == sim.best
-    assert tiered.evaluator == "tiered" and sim.evaluator == "sim"
-    assert [row_key(r) for r in pareto_frontier(tiered.evaluated)] == [
-        row_key(r) for r in pareto_frontier(sim.evaluated)
+    assert result.best == reference.best
+    assert [row_key(r) for r in pareto_frontier(result.evaluated)] == [
+        row_key(r) for r in pareto_frontier(reference.evaluated)
     ]
-    assert all(r.tier == "sim" for r in pareto_frontier(tiered.evaluated))
-    # Every row the tiered sweep did evaluate carries the sim sweep's
-    # exact numbers (the analytic tier is bit-exact).
-    sim_rows = {r.config: row_key(r) for r in sim.evaluated}
-    for r in tiered.evaluated:
-        assert row_key(r) == sim_rows[r.config]
-    # Every pruned candidate names its certified dominator.
-    analytic_skips = [
-        s for s in tiered.skipped if s.reason.startswith("analytic:")
-    ]
-    for skip in analytic_skips:
-        assert "dominated by" in skip.reason
-        assert skip.config not in {r.config for r in tiered.evaluated}
+    assert all(r.tier == "sim" for r in pareto_frontier(result.evaluated))
+    # Every row the sweep did evaluate carries the reference's exact
+    # numbers (the analytic tier is bit-exact).
+    reference_rows = {r.config: row_key(r) for r in reference.evaluated}
+    for r in result.evaluated:
+        assert row_key(r) == reference_rows[r.config]
+    # Every pruned candidate names its certified dominator and is
+    # absent from the trail; everything else matches the reference's
+    # skips reason for reason.
+    pruned = {
+        s.config for s in result.skipped if s.reason.startswith("analytic:")
+    }
+    for skip in result.skipped:
+        if skip.config in pruned:
+            assert "dominated by" in skip.reason
+    assert pruned.isdisjoint(r.config for r in result.evaluated)
+    assert {r.config for r in result.evaluated} | pruned >= set(reference_rows)
+    kept = [(s.config, s.reason) for s in result.skipped
+            if s.config not in pruned]
+    assert kept == [(s.config, s.reason) for s in reference.skipped
+                    if s.config not in pruned]
 
 
-def test_unknown_evaluator_rejected():
-    with pytest.raises(ValueError, match="unknown search evaluator"):
-        search_method(
-            "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, evaluator="bogus"
-        )
+def test_tiered_search_matches_sim_search():
+    result = search_method("mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS)
+    reference = sim_reference("mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS)
+    assert_matches_reference(result, reference)
+    # The pruning is real: the sweep skipped candidates the reference
+    # had to evaluate.
+    assert len(result.evaluated) < len(reference.evaluated)
 
 
 def test_all_oom_sweeps_survive_tiering():
     """All-OOM sweeps never find an incumbent, so nothing is pruned and
     the all-OOM verdict (every row in the trail) is preserved."""
-    tiered = search_method(
-        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS,
-        evaluator="tiered", min_dp=16,
+    result = search_method(
+        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, min_dp=16,
     )
-    sim = search_method(
-        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS,
-        evaluator="sim", min_dp=16,
+    reference = sim_reference(
+        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, min_dp=16,
     )
-    assert tiered.all_oom and sim.all_oom
-    assert {row_key(r) for r in tiered.evaluated} == {
-        row_key(r) for r in sim.evaluated
+    assert result.all_oom and reference.all_oom
+    assert {row_key(r) for r in result.evaluated} == {
+        row_key(r) for r in reference.evaluated
     }
+    assert_matches_reference(result, reference)
 
 
 # ----------------------------------------------------------------------

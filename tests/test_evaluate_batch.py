@@ -4,9 +4,9 @@ The central claim of :mod:`repro.analysis.evaluate.batch` — one stacked
 ``(n_configs, n_ops)`` sweep of a topology class equals the scalar
 :func:`evaluate_schedule` member for member, bit-identically — is
 checked here over the full acceptance grid under distinct per-member
-cost tables, plus the structural-agreement guard and the grid-tier
-planner integration (``evaluator="grid"`` returns exactly what
-``"tiered"`` and ``"sim"`` return).
+cost tables, plus the structural-agreement guard and the planner
+integration (the batched sweep returns exactly what a sim-tier sweep
+over the same candidates returns).
 """
 
 import random
@@ -20,14 +20,15 @@ from repro.analysis.evaluate import (
 )
 from repro.hardware.cluster import RTX4090_CLUSTER
 from repro.model.spec import LLAMA_13B
-from repro.planner.evaluate import evaluate_config_batch
-from repro.planner.parallel import EvalTask, evaluate_tasks, evaluate_tasks_batched
+from repro.planner.evaluate import evaluate_config, evaluate_config_batch
+from repro.planner.parallel import EvalOutcome, EvalTask, evaluate_tasks
 from repro.planner.search import search_method
 from repro.schedules import gencache
 from repro.schedules.graph import compiled_graph
 from repro.schedules.methods import build_problem, build_schedule
 from repro.sim.cost import UniformCost
 
+from tests.test_evaluate import assert_matches_reference, sim_reference
 from tests.test_verify import golden_grid
 
 GBS = 64
@@ -135,7 +136,7 @@ def test_empty_batch_is_empty():
 
 
 # ----------------------------------------------------------------------
-# Planner integration: grouping, batching, and the grid evaluator
+# Planner integration: grouping, batching, and the grid search
 # ----------------------------------------------------------------------
 def test_evaluate_config_batch_matches_scalar_sweep():
     from repro.parallel.strategies import ParallelConfig
@@ -163,35 +164,32 @@ def test_evaluate_config_batch_matches_scalar_sweep():
     ]
     report = evaluate_config_batch(tasks)
     assert len(report.results) == len(tasks)
-    scalar = evaluate_tasks(list(tasks))
-    batched = evaluate_tasks_batched(list(tasks))
-    assert batched == scalar
+    # The merged fan-out groups these by predicted class; every outcome
+    # still equals the scalar, one-cell-at-a-time evaluation.
+    scalar = [
+        EvalOutcome(
+            result=evaluate_config(
+                t.method, t.spec, t.cluster, t.config, t.global_batch_size,
+                tier=t.tier,
+            )
+        )
+        for t in tasks
+    ]
+    assert evaluate_tasks(list(tasks)) == scalar
+    assert list(report.results) == [o.result for o in scalar]
     # The dapple recompute pair shares one problem and a cost-independent
     # builder — a genuine topology class of size 2.
     assert any(size >= 2 for size in report.class_sizes)
 
 
-def test_grid_evaluator_matches_tiered_and_sim():
-    results = {
-        evaluator: search_method(
-            "mepipe",
-            LLAMA_13B,
-            RTX4090_CLUSTER,
-            GBS,
-            max_spp=4,
-            evaluator=evaluator,
-        )
-        for evaluator in ("sim", "tiered", "grid")
-    }
-    grid, tiered, sim = results["grid"], results["tiered"], results["sim"]
-    assert grid.best == tiered.best
-    assert grid.evaluated == tiered.evaluated
-    assert [(s.config, s.reason) for s in grid.skipped] == [
-        (s.config, s.reason) for s in tiered.skipped
-    ]
-    # vs "sim" the numbers and the winner agree (tier tags differ).
-    assert grid.best.config == sim.best.config
-    assert grid.best.iteration_time_s == sim.best.iteration_time_s
+def test_grid_search_matches_sim_reference():
+    result = search_method(
+        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, max_spp=4
+    )
+    reference = sim_reference(
+        "mepipe", LLAMA_13B, RTX4090_CLUSTER, GBS, max_spp=4
+    )
+    assert_matches_reference(result, reference)
 
 
 def test_structure_store_shares_plans_across_sweeps():

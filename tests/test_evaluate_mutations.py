@@ -227,3 +227,54 @@ def test_phase_end_off_stage_end_fires_ev004(subject, seed):
     assert report.rule_ids() == {"EV004"}
     (finding,) = findings_for(report, "EV004")
     assert finding.stage == stage
+
+
+# ----------------------------------------------------------------------
+# Engine independence: a defect in the shared dense wavefront
+# ----------------------------------------------------------------------
+def shift_op(monkeypatch, pick):
+    """Seed a wavefront defect: op ``pick(num_ops)`` starts and ends
+    1.0 late.  Patched where both the analytic evaluator and the
+    simulator's dense engine look the function up."""
+    from repro.analysis.evaluate import core, dense
+
+    real = dense.dense_schedule_times
+
+    def mutant(graph, cost):
+        times = real(graph, cost)
+        i = pick(times.num_ops)
+        start, end = times.start.copy(), times.end.copy()
+        start[i] += 1.0
+        end[i] += 1.0
+        return dataclasses.replace(times, start=start, end=end)
+
+    monkeypatch.setattr(dense, "dense_schedule_times", mutant)
+    monkeypatch.setattr(core, "dense_schedule_times", mutant)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wavefront_defect_is_caught_by_default_cross_validation(
+    monkeypatch, seed
+):
+    shift_op(monkeypatch, lambda n: random.Random(seed).randrange(n))
+    problem = build_problem("mepipe", 4, 8, num_slices=4, wgrad_gemms=3)
+    schedule = build_schedule("mepipe", problem)
+    cost = UniformCost(problem, tw=0.5)
+    # The default engine shares no code with the wavefront...
+    report = cross_validate(schedule, cost)
+    assert "EV001" in report.rule_ids()
+    assert any(
+        "op timing" in f.message for f in findings_for(report, "EV001")
+    )
+    # ...while the "event" engine *is* the wavefront and agrees with
+    # its own defect, which is why it cannot be the default.
+    assert cross_validate(schedule, cost, engine="event").ok
+
+
+def test_wavefront_defect_fails_the_evaluate_check_request(monkeypatch):
+    from repro import api
+
+    shift_op(monkeypatch, lambda num_ops: num_ops - 1)
+    response = api.execute(api.EvaluateRequest(method="mepipe", check=True))
+    assert not response.ok
+    assert "EV001" in {f["rule_id"] for f in response.report["findings"]}

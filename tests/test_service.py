@@ -248,6 +248,27 @@ class TestHttpEndpoints:
         assert response.status == 400
         assert "JSON" in data["message"]
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, harness, length):
+        import socket
+
+        config = harness.service.config
+        with socket.create_connection(
+            (config.host, config.port), timeout=10.0
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+                + f"Content-Length: {length}\r\n\r\n{{}}".encode()
+            )
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"400"
+        data = json.loads(body)
+        assert data["code"] == "bad-request"
+        assert repr(length) in data["message"]
+
     def test_schema_mismatch_is_rejected(self, harness):
         status, data = harness.client().call(
             "POST", "/v1/evaluate",
