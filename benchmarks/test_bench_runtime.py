@@ -1,10 +1,15 @@
 """Bench: serial vs multi-process pipeline executor on one E0 iteration.
 
 Times one MEPipe split-backward iteration (p=2, s=4, deferred W groups)
-on both executors.  The parallel timing includes process spawn and
-channel setup — the honest end-to-end cost — and the run must exhibit
-measured comm/wgrad overlap while staying bit-identical to serial.
+on both executors.  The parallel timing is the first run of the
+process, worker start-up and channel setup included — the honest
+end-to-end cost — and the run must exhibit measured comm/wgrad overlap
+while staying bit-identical to serial.  ``extra_info`` records the
+start-up share (``run()`` wall minus ``wall_seconds``) of that cold run
+and of a second, warm one.
 """
+
+import time
 
 from repro.data import token_batches
 from repro.model import tiny_spec
@@ -37,7 +42,7 @@ def test_bench_runtime_serial(once):
     assert result.ops_executed == schedule.op_count()
 
 
-def test_bench_runtime_parallel(once):
+def test_bench_runtime_parallel(once, benchmark):
     schedule, tokens, targets = _setup()
 
     serial_model = build_model(SPEC, seed=11)
@@ -45,14 +50,22 @@ def test_bench_runtime_parallel(once):
 
     def run():
         model = build_model(SPEC, seed=11)
-        return ParallelPipelineRuntime(model, tokens, targets).run(schedule)
+        runtime = ParallelPipelineRuntime(model, tokens, targets)
+        t0 = time.perf_counter()
+        result = runtime.run(schedule)
+        return result, time.perf_counter() - t0 - result.wall_seconds
 
-    result = once(run)
+    result, cold_spawn_s = once(run)
+    warm, warm_spawn_s = run()
+    benchmark.extra_info["spawn_s_cold"] = cold_spawn_s
+    benchmark.extra_info["spawn_s_warm"] = warm_spawn_s
     assert result.executor == "parallel"
     assert result.loss == serial.loss
+    assert warm.loss == serial.loss
     # The point of the exercise: deferred W GEMMs measurably execute
     # while channel receives are pending.
     assert result.overlap_w_seconds > 0.0
     print(f"\nparallel wall {result.wall_seconds * 1e3:.1f} ms, "
           f"overlap_w {result.overlap_w_seconds * 1e3:.2f} ms, "
-          f"bubble {result.bubble_ratio:.3f}")
+          f"bubble {result.bubble_ratio:.3f}, "
+          f"spawn cold {cold_spawn_s * 1e3:.1f} ms / warm {warm_spawn_s * 1e3:.1f} ms")

@@ -16,9 +16,10 @@ The ring lives in one :class:`multiprocessing.shared_memory
 slot and the receiver reads it out of the same pages; no pickling, no
 pipe traffic.  Slot hand-off uses two semaphores (``free``/``used``),
 the classic SPSC protocol; both ends keep their own local slot index
-so no shared counter is needed.  The protocol object is ``spawn``-safe:
-it is pickled into each worker via ``Process`` args (semaphores cannot
-travel over queues), and workers re-attach to the segment by name.
+so no shared counter is needed.  The protocol object pickles for
+``forkserver`` and ``spawn`` workers alike: it travels into each
+worker via ``Process`` args (semaphores cannot travel over queues),
+and workers re-attach to the segment by name.
 
 Every blocking operation takes a timeout (default
 :data:`DEFAULT_CHANNEL_TIMEOUT`, overridable via the

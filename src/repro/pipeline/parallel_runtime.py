@@ -1,9 +1,9 @@
 """True multi-process pipeline execution with measured comm/wgrad overlap.
 
 :class:`ParallelPipelineRuntime` launches one worker **process per
-pipeline stage** (``spawn`` start method), ships each stage only its
-partition chunks, and moves boundary tensors through the shared-memory
-ring channels of :mod:`repro.pipeline.channels`.  Where the serial
+pipeline stage**, ships each stage only its partition chunks, and
+moves boundary tensors through the shared-memory ring channels of
+:mod:`repro.pipeline.channels`.  Where the serial
 :class:`~repro.pipeline.runtime.PipelineRuntime` merely *interleaves*
 stage programs in one process, here every stage runs on its own clock:
 per-stage busy/idle time, channel wait time, and the bubble ratio
@@ -45,6 +45,22 @@ parent converts a dead/stalled worker into a :class:`ScheduleError`
 after terminating the remaining workers and unlinking every
 shared-memory segment — no hangs, no orphans, no leaked ``/dev/shm``
 entries.
+
+Worker start-up: workers fork from a ``forkserver`` whose server
+process has already imported this module (and with it NumPy and
+``repro``), so a run pays a fork per stage, not a fresh interpreter
+per stage.  The server starts lazily on the first
+:meth:`ParallelPipelineRuntime.run` of the process and lives until the
+process exits; where ``forkserver`` is not a start method of the
+platform, workers use ``spawn``.  A stage is one device, so the server
+is launched with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` defaulted to ``1`` and every worker inherits
+one-thread BLAS pools.  A value the caller has already set in the
+environment when the server starts wins; the caller's own
+``os.environ`` is left as it was.  On E0 (``perfbench`` ``train-e0``,
+MEPipe p=2 on a 2-core machine) this took one parallel iteration,
+start-up included, from 2.59 s to 0.47 s (medians of ten runs each;
+``docs/performance.md`` has the table).
 """
 
 from __future__ import annotations
@@ -52,7 +68,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_mod
+import resource
 import secrets
+import sys
+import threading
 import time
 import traceback
 from collections.abc import Mapping
@@ -78,7 +97,7 @@ from repro.schedules.base import OpId, OpKind, PipelineProblem, Schedule, Schedu
 from repro.sim.executor import OpRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from multiprocessing.context import SpawnContext
+    from multiprocessing.context import ForkServerContext, SpawnContext
     from multiprocessing.shared_memory import SharedMemory
 
 __all__ = ["FaultSpec", "ParallelPipelineRuntime"]
@@ -87,6 +106,38 @@ Array = np.ndarray[Any, np.dtype[Any]]
 
 #: Slice of blocking recv waits between deferred-W drain attempts.
 _POLL_SECONDS = 0.002
+
+#: BLAS pool sizes a stage worker defaults to one thread.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Serializes the scoped environment change around the server launch.
+_LAUNCH_LOCK = threading.Lock()
+
+
+def _worker_context() -> "ForkServerContext | SpawnContext":
+    """The start context for stage workers, its server running.
+
+    The forkserver is launched (once per process, or again if it died)
+    with the BLAS thread variables the caller has not set defaulted to
+    ``1``, and preloads this module, so each worker forks from an
+    already-imported, single-threaded server.  ``os.environ`` is
+    restored before returning.
+    """
+    if "forkserver" not in mp.get_all_start_methods():
+        return mp.get_context("spawn")
+    from multiprocessing import forkserver
+
+    ctx = mp.get_context("forkserver")
+    with _LAUNCH_LOCK:
+        added = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+        os.environ.update(dict.fromkeys(added, "1"))
+        try:
+            ctx.set_forkserver_preload([__name__])
+            forkserver.ensure_running()
+        finally:
+            for name in added:
+                os.environ.pop(name, None)
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -141,7 +192,8 @@ class _WorkerReport:
 
 
 def _worker_main(cfg: _WorkerConfig) -> None:
-    """Entry point of one stage worker (top level for ``spawn``)."""
+    """Entry point of one stage worker (top level, so the worker
+    context pickles it by reference)."""
     channels = list(cfg.send_channels.values()) + list(cfg.recv_channels.values())
     try:
         for ch in channels:
@@ -275,6 +327,9 @@ def _execute_stage(cfg: _WorkerConfig) -> _WorkerReport:
         raise ScheduleError(
             f"stage {cfg.stage}: unconsumed local boundary tensors remain")
     executor.assert_drained()
+    # ru_maxrss is in KiB on Linux, in bytes on macOS.
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    stats.peak_rss_bytes = peak_rss if sys.platform == "darwin" else peak_rss * 1024
     grads = {
         index: dict(comp.grads)
         for chunk, comps in cfg.chunk_components.items()
@@ -406,7 +461,7 @@ class ParallelPipelineRuntime:
     def _build_channels(
         self,
         problem: PipelineProblem,
-        ctx: "SpawnContext",
+        ctx: "ForkServerContext | SpawnContext",
         slots: dict[ChannelKey, int],
     ) -> tuple[dict[ChannelKey, ChannelProtocol], list["SharedMemory"]]:
         """One ring per directed cross-stage ``(src, dst, kind)`` edge,
@@ -463,7 +518,7 @@ class ParallelPipelineRuntime:
             component_index[c] = list(range(offset, offset + len(comps)))
             offset += len(comps)
 
-        ctx = mp.get_context("spawn")
+        ctx = _worker_context()
         channels, segments = self._build_channels(problem, ctx, slots)
         barrier = ctx.Barrier(num_stages)
         results: Any = ctx.Queue()

@@ -65,6 +65,10 @@ class StageStats:
     its incoming channels), stamped by the parallel runtime from the
     capacity plan it allocated rings under; zero for serial runs,
     which use in-process mailboxes.
+
+    ``peak_rss_bytes`` is the peak resident set size of the worker
+    process that ran this stage, stamped by each parallel worker from
+    its own ``getrusage``; zero for serial runs.
     """
 
     stage: int
@@ -76,6 +80,7 @@ class StageStats:
     wait_seconds: float = 0.0
     overlap_w_seconds: float = 0.0
     channel_buffer_bytes: int = 0
+    peak_rss_bytes: int = 0
 
 
 @dataclass

@@ -164,6 +164,11 @@ class Job:
 class JobStore:
     """Owns every job, the dedup index, quotas, and the worker pool."""
 
+    #: Test hook: a new job's handler waits (at most the request
+    #: timeout) until this many requests share the job, so a dedup test
+    #: never races the first job's completion.  0 disables the hold.
+    hold_until_attached = 0
+
     def __init__(
         self, config: ServiceConfig, *, cache: SweepCache | None = None
     ) -> None:
@@ -271,6 +276,12 @@ class JobStore:
     async def _run(self, job: Job, request: Request) -> None:
         loop = asyncio.get_running_loop()
         sink = QueueSink()
+        deadline = time.monotonic() + (self.config.request_timeout_s or 0.0)
+        while (
+            job.attached < self.hold_until_attached
+            and time.monotonic() < deadline
+        ):
+            await asyncio.sleep(PUMP_INTERVAL_S)
         job.status = "running"
         future = loop.run_in_executor(
             self._executor, self._execute, request, sink

@@ -4,14 +4,18 @@ The contract under test: :class:`ParallelPipelineRuntime` is the serial
 :class:`PipelineRuntime` with real concurrency — gradients, loss, op
 counts, and per-stage memory peaks are **bit-for-bit identical** across
 the full E0 schedule grid; comm/wgrad overlap becomes a measured
-wall-clock quantity; and a failing worker surfaces as a diagnosable
+wall-clock quantity; a failing worker surfaces as a diagnosable
 :class:`ScheduleError` with no orphan processes or leaked shared-memory
-segments.
+segments; and workers start from a warm server with one-thread BLAS
+pools without touching the caller's environment.
 """
 
 import glob
+import json
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +184,73 @@ class TestFailureHandling:
             runtime.run(schedule)
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Runs in a fresh interpreter: launches one process through the
+#: runtime's worker context and reports the BLAS variables it sees.
+BLAS_PROBE = f"""
+import json, os
+from repro.pipeline.parallel_runtime import _worker_context
+before = dict(os.environ)
+with _worker_context().Pool(1) as pool:
+    seen = pool.map(os.getenv, {BLAS_VARS!r})
+print(json.dumps({{"seen": seen, "unchanged": dict(os.environ) == before}}))
+"""
+
+
+def probe_worker_blas(preset):
+    import repro
+
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestWorkerStart:
+    """Workers fork from a warm server, one BLAS thread per stage."""
+
+    def test_clean_run_after_each_fault_mode(self, data):
+        schedule = build("mepipe", p=2, num_slices=2, wgrad_gemms=2)
+        serial_model, serial = run_serial(schedule, data)
+        serial_grads = serial_model.named_grads()
+        for mode, match in (("exit", "died without reporting"),
+                            ("raise", "injected fault")):
+            with pytest.raises(ScheduleError, match=match):
+                run_parallel(schedule, data, timeout=20.0,
+                             fault=FaultSpec(stage=1, op_index=2, mode=mode))
+            model, parallel = run_parallel(schedule, data)
+            assert parallel.loss == serial.loss
+            for key, grad in model.named_grads().items():
+                assert np.array_equal(grad, serial_grads[key]), key
+            assert not any(
+                p.name.startswith("repro-stage") for p in mp.active_children()
+            )
+            assert shm_leftovers() == []
+
+    @pytest.mark.skipif("forkserver" not in mp.get_all_start_methods(),
+                        reason="workers only pin BLAS through a forkserver")
+    @pytest.mark.parametrize("preset,expected", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+    ], ids=["default", "caller-set"])
+    def test_workers_see_one_blas_thread(self, preset, expected):
+        report = probe_worker_blas(preset)
+        assert report["seen"] == expected
+        assert report["unchanged"]
+
+    def test_run_leaves_caller_environment_unchanged(self, data):
+        before = dict(os.environ)
+        run_parallel(build("mepipe", p=2, num_slices=2, wgrad_gemms=2), data)
+        assert dict(os.environ) == before
+
+
 class TestTelemetry:
     def test_records_one_track_per_worker(self, data):
         from repro.obs.sinks import MemorySink
@@ -199,6 +270,13 @@ class TestTelemetry:
         # The parallel executor emits its overlap/wait counter series.
         assert sink.counters("overlap_w_seconds")
         assert sink.counters("wait_seconds")
+
+    def test_worker_peak_rss_is_stamped(self, data):
+        schedule = build("mepipe", p=2, num_slices=2, wgrad_gemms=2)
+        _m, parallel = run_parallel(schedule, data)
+        _m, serial = run_serial(schedule, data)
+        assert all(s.peak_rss_bytes > 0 for s in parallel.stage_stats)
+        assert all(s.peak_rss_bytes == 0 for s in serial.stage_stats)
 
     def test_metrics_protocol_unchanged(self, data):
         schedule = build("mepipe", p=2, num_slices=2, wgrad_gemms=2)

@@ -327,6 +327,9 @@ class TestJobsAndStreaming:
     ):
         client = harness.client()
         executed_before = harness.store.executed
+        # The first job starts only once all 32 requests share it, so
+        # none can arrive after it finished and start a second one.
+        harness.store.hold_until_attached = 32
 
         def one(_: int) -> str:
             return client.request(SMALL_PLAN).to_json()
