@@ -158,7 +158,9 @@ def service(session: nox.Session) -> None:
     job/HTTP layer on top; both are held to ``mypy --strict``.  The
     test modules cover canonical round-trips, fingerprint dedup (32
     concurrent identical requests -> one computation), SSE progress
-    streams, per-tenant quotas, and structured timeout errors.
+    streams, per-tenant quotas, and structured timeout errors; the
+    perfbench harness self-tests guard the benchmark that times the
+    service.
     """
     session.install("-e", ".[test,lint]")
     session.run("mypy", "--strict", "src/repro/api", "src/repro/service")
@@ -166,6 +168,7 @@ def service(session: nox.Session) -> None:
         "python", "-m", "pytest", "-x", "-q",
         "tests/test_service.py", "tests/test_api.py",
     )
+    session.run("python", "-m", "pytest", "-q", "perfbench/tests")
 
 
 @nox.session

@@ -724,7 +724,7 @@ def _configure_client(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-request deadline in seconds")
     parser.add_argument("--wait", action="store_true",
-                        help="with 'job': poll until the job finishes")
+                        help="with 'job': block until the job finishes")
 
 
 #: Every CLI command, declaratively.  ``build_parser`` materializes the

@@ -144,15 +144,18 @@ class ServiceClient:
         self._raise_for_error(status, data)
         return data
 
-    def wait(self, job_id: str, *, poll_s: float = 0.05) -> JsonDict:
-        """Poll ``/v1/jobs/<id>`` until the job finishes."""
-        import time
+    def wait(self, job_id: str) -> JsonDict:
+        """Block until the job finishes; returns its job descriptor.
 
+        Reads the job's SSE stream up to the terminal ``done`` event,
+        whose payload is the descriptor ``/v1/jobs/<id>`` serves.  A
+        stream that outlives its deadline ends on a ``timeout`` error
+        event while the job keeps running, so the stream is reopened.
+        """
         while True:
-            data = self.job(job_id)
-            if data.get("status") in ("done", "error"):
-                return data
-            time.sleep(poll_s)
+            for event, payload in self.events(job_id):
+                if event == "done":
+                    return payload
 
     def events(self, job_id: str) -> Iterator[tuple[str, JsonDict]]:
         """Stream the job's SSE feed as ``(event, payload)`` pairs.

@@ -18,6 +18,11 @@ Routes (all JSON, every body carries ``schema_version``)::
     GET  /v1/jobs/<id>            poll a job descriptor
     GET  /v1/jobs/<id>/events     Server-Sent Events progress stream
 
+Reading a request is bounded: one deadline (the request timeout)
+covers the request line, headers and body (``408 request-timeout`` on
+expiry), and a head line past :data:`_MAX_LINE_BYTES` or more than
+:data:`_MAX_HEADERS` header lines answers ``431 header-too-large``.
+
 Request bodies are the ``to_dict`` form of the typed dataclasses in
 :mod:`repro.api.types`; the ``kind`` key may be omitted because the
 path already names it.  Error payloads are
@@ -28,6 +33,7 @@ error ``code`` (see :data:`ERROR_STATUS`).
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 from urllib.parse import parse_qsl, urlsplit
 
@@ -55,13 +61,20 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     422: "Unprocessable Content",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     504: "Gateway Timeout",
 }
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Longest request line or header line (the stream reader's limit;
+#: 431 beyond it).
+_MAX_LINE_BYTES = 64 * 1024
+#: Most header lines one request may carry (431 beyond it).
+_MAX_HEADERS = 100
 
 
 def error_status(error: ErrorInfo) -> int:
@@ -123,7 +136,10 @@ class PlannerService:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            limit=_MAX_LINE_BYTES,
         )
         if self.config.port == 0:
             sockets = self._server.sockets or []
@@ -154,7 +170,21 @@ class PlannerService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            # One deadline covers the request line, headers and body,
+            # so a client that stalls mid-request cannot hold the
+            # connection open.
+            timeout = self.config.request_timeout_s
+            assert timeout is not None
+            try:
+                request = await asyncio.wait_for(
+                    self._read_request(reader), timeout
+                )
+            except asyncio.TimeoutError:
+                raise RequestError(
+                    f"request not received within {timeout:g}s",
+                    code="request-timeout",
+                    http_status=408,
+                ) from None
             if request is not None:
                 await self._dispatch(request, writer)
         except RequestError as exc:
@@ -185,7 +215,7 @@ class PlannerService:
         self, reader: asyncio.StreamReader
     ) -> _HttpRequest | None:
         try:
-            request_line = await reader.readline()
+            request_line = await _read_line(reader)
         except ConnectionError:  # pragma: no cover
             return None
         if not request_line:
@@ -197,10 +227,16 @@ class PlannerService:
         except ValueError:
             raise RequestError("malformed request line") from None
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for count in itertools.count():
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count >= _MAX_HEADERS:
+                raise RequestError(
+                    f"more than {_MAX_HEADERS} header fields",
+                    code="header-too-large",
+                    http_status=431,
+                )
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0") or "0"
@@ -347,24 +383,29 @@ class PlannerService:
         queue = job.subscribe()
         loop = asyncio.get_running_loop()
         end = loop.time() + (deadline or 0.0)
-        while True:
-            remaining = end - loop.time() if deadline else None
-            if remaining is not None and remaining <= 0.0:
-                payload = timeout_sse(job, deadline or 0.0)
-                writer.write(_sse("error", payload))
-                break
-            try:
-                item = await asyncio.wait_for(queue.get(), remaining)
-            except asyncio.TimeoutError:
-                payload = timeout_sse(job, deadline or 0.0)
-                writer.write(_sse("error", payload))
-                break
-            if item is None:
-                writer.write(_sse("done", job.to_dict()))
-                break
-            writer.write(_sse("obs", item))
+        try:
+            while True:
+                remaining = end - loop.time() if deadline else None
+                if remaining is not None and remaining <= 0.0:
+                    payload = timeout_sse(job, deadline or 0.0)
+                    writer.write(_sse("error", payload))
+                    break
+                try:
+                    item = await asyncio.wait_for(queue.get(), remaining)
+                except asyncio.TimeoutError:
+                    payload = timeout_sse(job, deadline or 0.0)
+                    writer.write(_sse("error", payload))
+                    break
+                if item is None:
+                    writer.write(_sse("done", job.to_dict()))
+                    break
+                writer.write(_sse("obs", item))
+                await writer.drain()
             await writer.drain()
-        await writer.drain()
+        finally:
+            # A stream that ends before its job (deadline, client gone)
+            # must not keep receiving the job's live events.
+            job.unsubscribe(queue)
 
     # -- responses ------------------------------------------------------
 
@@ -400,6 +441,18 @@ class PlannerService:
         ).encode("latin-1")
         writer.write(head + body)
         await writer.drain()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request-head line; a line past the reader's limit is 431."""
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader limit overrun
+        raise RequestError(
+            f"request head line longer than {_MAX_LINE_BYTES} bytes",
+            code="header-too-large",
+            http_status=431,
+        ) from None
 
 
 def timeout_sse(job: Job, deadline: float) -> JsonDict:

@@ -13,7 +13,9 @@ Every service request becomes a :class:`Job`.  The store
   :mod:`repro.planner.parallel` process pool when ``jobs > 1``);
 - bridges each handler's telemetry onto the asyncio side through a
   :class:`repro.obs.QueueSink` pump, feeding per-job subscriber queues
-  that back the SSE progress stream; and
+  that back the SSE progress stream — the pump waits on the handler's
+  future, so a finished job is answered at once, and
+  :data:`PUMP_INTERVAL_S` only batches progress while it runs; and
 - surfaces **deadline expiry** as a structured ``timeout``
   :class:`repro.api.ErrorInfo` payload while the computation keeps
   running for any patient subscriber (threads are not cancellable).
@@ -41,7 +43,9 @@ from repro.obs import Event, QueueSink
 from repro.planner import SweepCache
 from repro.service.config import ServiceConfig
 
-#: Seconds between telemetry pump drains while a job runs.
+#: Longest wait between telemetry pump drains while a job runs: the
+#: SSE batching cadence.  Completion never waits for it — the pump
+#: wakes as soon as the handler's future resolves.
 PUMP_INTERVAL_S = 0.02
 
 #: Queue sentinel telling an event subscriber the stream is over.
@@ -96,6 +100,9 @@ class Job:
     finished_s: float | None = None
     events: list[JsonDict] = field(default_factory=list)
     done: asyncio.Event = field(default_factory=asyncio.Event)
+    #: Exists only while :attr:`JobStore.hold_until_attached` holds
+    #: the job; :meth:`JobStore.submit` sets it when a request attaches.
+    attach_event: asyncio.Event | None = None
     _subscribers: list[asyncio.Queue[JsonDict | None]] = field(
         default_factory=list
     )
@@ -115,6 +122,11 @@ class Job:
         else:
             self._subscribers.append(q)
         return q
+
+    def unsubscribe(self, q: asyncio.Queue[JsonDict | None]) -> None:
+        """Stop feeding ``q`` (a stream that ended before the job)."""
+        if q in self._subscribers:
+            self._subscribers.remove(q)
 
     def publish(self, events: list[Event]) -> None:
         dicts = [e.to_dict() for e in events]
@@ -206,6 +218,8 @@ class JobStore:
             existing = self._inflight.get(fingerprint)
             if existing is not None:
                 existing.attached += 1
+                if existing.attach_event is not None:
+                    existing.attach_event.set()
                 self.dedup_hits += 1
                 return existing
         active = self._tenant_active.get(tenant, 0)
@@ -276,12 +290,14 @@ class JobStore:
     async def _run(self, job: Job, request: Request) -> None:
         loop = asyncio.get_running_loop()
         sink = QueueSink()
-        deadline = time.monotonic() + (self.config.request_timeout_s or 0.0)
-        while (
-            job.attached < self.hold_until_attached
-            and time.monotonic() < deadline
-        ):
-            await asyncio.sleep(PUMP_INTERVAL_S)
+        deadline = loop.time() + (self.config.request_timeout_s or 0.0)
+        while job.attached < self.hold_until_attached:
+            event = job.attach_event = asyncio.Event()
+            try:
+                await asyncio.wait_for(event.wait(), deadline - loop.time())
+            except asyncio.TimeoutError:
+                break
+        job.attach_event = None
         job.status = "running"
         future = loop.run_in_executor(
             self._executor, self._execute, request, sink
@@ -289,11 +305,14 @@ class JobStore:
         response: Response | None = None
         error: ErrorInfo | None = None
         try:
+            # Wake on completion; the interval only batches progress.
+            # ``_execute`` closes the sink before the future resolves,
+            # so the drain after a completed wait reaches the sentinel.
             while True:
+                await asyncio.wait((future,), timeout=PUMP_INTERVAL_S)
                 job.publish(sink.drain())
                 if future.done() and sink.finished:
                     break
-                await asyncio.sleep(PUMP_INTERVAL_S)
             response = future.result()
         except RequestError as exc:
             error = exc.to_error()

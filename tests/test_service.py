@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -163,6 +164,20 @@ def harness(tmp_path, monkeypatch):
     h.shutdown()
 
 
+def _raw_exchange(harness, payload: bytes) -> tuple[int, dict]:
+    """Send raw bytes on one connection; the (status, JSON body) reply."""
+    config = harness.service.config
+    with socket.create_connection(
+        (config.host, config.port), timeout=10.0
+    ) as sock:
+        sock.sendall(payload)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), json.loads(body)
+
+
 class TestHttpEndpoints:
     def test_healthz(self, harness):
         data = harness.client().health()
@@ -250,24 +265,50 @@ class TestHttpEndpoints:
 
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_is_400(self, harness, length):
-        import socket
-
-        config = harness.service.config
-        with socket.create_connection(
-            (config.host, config.port), timeout=10.0
-        ) as sock:
-            sock.sendall(
-                b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
-                + f"Content-Length: {length}\r\n\r\n{{}}".encode()
-            )
-            raw = b""
-            while chunk := sock.recv(65536):
-                raw += chunk
-        head, _, body = raw.partition(b"\r\n\r\n")
-        assert head.split(b" ")[1] == b"400"
-        data = json.loads(body)
+        status, data = _raw_exchange(
+            harness,
+            b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+            + f"Content-Length: {length}\r\n\r\n{{}}".encode(),
+        )
+        assert status == 400
         assert data["code"] == "bad-request"
         assert repr(length) in data["message"]
+
+    def test_oversized_header_line_is_431(self, harness):
+        status, data = _raw_exchange(
+            harness,
+            b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n"
+            + b"X-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+        assert status == 431
+        assert data["code"] == "header-too-large"
+
+    def test_too_many_headers_is_431(self, harness):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(1000))
+        status, data = _raw_exchange(
+            harness,
+            b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n"
+            + headers + b"\r\n",
+        )
+        assert status == 431
+        assert data["code"] == "header-too-large"
+
+    def test_short_body_times_out_with_408(self, tmp_path, monkeypatch):
+        # A body shorter than its Content-Length must not hold the
+        # connection open: the read deadline answers a typed 408.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        h = ServiceHarness(ServiceConfig(port=0, request_timeout_s=0.5))
+        try:
+            status, data = _raw_exchange(
+                h,
+                b"POST /v1/evaluate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 100\r\n\r\n{}",
+            )
+        finally:
+            h.shutdown()
+        assert status == 408
+        assert data["code"] == "request-timeout"
+        assert data["schema_version"] == api.SCHEMA_VERSION
 
     def test_schema_mismatch_is_rejected(self, harness):
         status, data = harness.client().call(
@@ -345,6 +386,20 @@ class TestJobsAndStreaming:
         stats = client.health()["stats"]
         assert stats["executed"] == executed_before + 1
 
+    def test_stream_ending_before_its_job_unsubscribes(self, harness):
+        # The job is held (nothing attaches), so its stream runs into
+        # the 0.2 s deadline while the job is still queued.
+        harness.store.hold_until_attached = 2
+        client = harness.client(timeout_s=0.2)
+        job_id = client.submit(SMALL_PLAN)["job_id"]
+        name, payload = list(client.events(job_id))[-1]
+        assert (name, payload["code"]) == ("error", "timeout")
+        client.health()  # one more round trip through the server loop
+        assert harness.store.get(job_id)._subscribers == []
+        # Release the job; wait() reopens timed-out streams until done.
+        client.submit(SMALL_PLAN)
+        assert client.wait(job_id)["status"] == "done"
+
     def test_dedup_respects_fingerprint_volatile_fields(self, harness):
         # jobs/use_cache are volatile: they never change the planner's
         # answer, so requests differing only there still share a job.
@@ -367,6 +422,89 @@ class TestJobsAndStreaming:
             results = [f.result() for f in futures]
         assert results[0] == results[1]
         assert harness.store.executed <= executed_before + 1
+
+
+def _timeless(payloads: list[dict]) -> list[dict]:
+    """Event dicts without their wall-clock fields (``ts``, ``dur``)."""
+    return [
+        {k: v for k, v in p.items() if k not in ("ts", "dur")}
+        for p in payloads
+    ]
+
+
+class TestWakeOnCompletion:
+    """Answers wake on handler completion, never on a pump tick.
+
+    ``PUMP_INTERVAL_S`` is patched to 30 s: a job store that waited for
+    the next tick would answer nothing within the 5 s client deadline.
+    """
+
+    @pytest.fixture()
+    def slow_pump(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "PUMP_INTERVAL_S", 30.0)
+
+    def test_sync_request_does_not_wait_for_a_tick(self, harness, slow_pump):
+        client = harness.client(timeout_s=5.0)
+        request = api.EvaluateRequest(method="mepipe")
+        t0 = time.monotonic()
+        assert client.request(request).ok
+        assert time.monotonic() - t0 < 5.0
+
+    def test_async_wait_and_stream_do_not_wait_for_a_tick(
+        self, harness, slow_pump
+    ):
+        client = harness.client(timeout_s=5.0)
+        t0 = time.monotonic()
+        job_id = client.submit(SMALL_PLAN)["job_id"]
+        final = client.wait(job_id)
+        events = list(client.events(job_id))
+        assert time.monotonic() - t0 < 10.0
+        assert final["status"] == "done"
+        assert events[-1] == ("done", final)
+        assert [name for name, _ in events[:-1]] == ["obs"] * (
+            len(events) - 1
+        )
+        assert len(events) - 1 == final["num_events"]
+
+    @pytest.mark.parametrize("interval_s", [1e-4, 30.0])
+    def test_stream_matches_in_process_events(
+        self, harness, monkeypatch, interval_s
+    ):
+        # Tiny interval: many drains while the sweep runs; 30 s: one
+        # drain after completion.  Either way the stream carries every
+        # event the handler emitted, in order.
+        monkeypatch.setattr(jobs_module, "PUMP_INTERVAL_S", interval_s)
+        # Warm the process-wide generation caches first, so both runs
+        # report the same cache counters.
+        api.execute(SMALL_PLAN)
+        sink = QueueSink()
+        api.execute(SMALL_PLAN, sink=sink)
+        expected = [e.to_dict() for e in sink.drain()]
+        assert expected
+        client = harness.client(timeout_s=5.0)
+        job_id = client.submit(SMALL_PLAN)["job_id"]
+        streamed = [p for name, p in client.events(job_id) if name == "obs"]
+        assert _timeless(streamed) == _timeless(expected)
+
+    def test_hold_releases_on_attach_not_on_a_tick(
+        self, harness, slow_pump
+    ):
+        client = harness.client(timeout_s=5.0)
+        executed_before = harness.store.executed
+        harness.store.hold_until_attached = 2
+        first = client.submit(SMALL_PLAN)
+        # Held: the request timeout (30 s) is far off and nothing has
+        # attached, so the handler has not started.
+        assert client.job(first["job_id"])["status"] == "queued"
+        assert harness.store.executed == executed_before
+        t0 = time.monotonic()
+        second = client.submit(SMALL_PLAN)
+        assert second["job_id"] == first["job_id"]
+        final = client.wait(first["job_id"])
+        assert time.monotonic() - t0 < 5.0
+        assert final["status"] == "done"
+        assert final["attached"] == 2
+        assert harness.store.executed == executed_before + 1
 
 
 class _Slow:
